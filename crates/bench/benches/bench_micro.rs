@@ -1,12 +1,12 @@
 //! Microbenchmarks for the hot primitives underneath every experiment:
 //! distance kernels (FP32/FP16/INT8 access paths), bounded top-k, the
-//! visited hash table, and the bitonic candidate sort. These are the
-//! knobs the Rust-side performance work tunes; the figure-level
-//! benches sit on top of them.
+//! visited hash table, the bitonic candidate sort, and the top-M
+//! update. These are the knobs the Rust-side performance work tunes;
+//! the figure-level benches sit on top of them.
 
 use bench::{cagra_index, clone_ds, deep_like, glove_like, knn_lists, DEGREE};
 use cagra::optimize::{optimize, optimize_naive, OptimizeOptions};
-use cagra::search::buffer::{bitonic_sort, BufEntry};
+use cagra::search::buffer::{bitonic_sort, BufEntry, SearchBuffer};
 use cagra::search::hash::VisitedSet;
 use cagra::search::planner::Mode;
 use cagra::search::single_cta::search_single_cta_with;
@@ -180,6 +180,38 @@ fn bench_bitonic(c: &mut Criterion) {
     g.finish();
 }
 
+/// The CPU top-M update over one search-shaped stream: itopk rounds of
+/// 32 candidates (one degree-32 parent per iteration) with seeded
+/// random distances. The list fills within the first rounds; after
+/// that it holds the smallest distances seen so far, so most
+/// candidates of each later round lose, as in a converging search.
+fn bench_update_topm(c: &mut Criterion) {
+    const WIDTH: usize = 32;
+    let mut g = c.benchmark_group("micro/update_topm");
+    for m in [64usize, 256] {
+        let mut x = 7u64;
+        let stream: Vec<BufEntry> = (0..(m * WIDTH) as u32)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                BufEntry::new(i, (x >> 40) as f32)
+            })
+            .collect();
+        let mut buf = SearchBuffer::new(m, WIDTH);
+        g.bench_function(format!("itopk{m}_w{WIDTH}"), |b| {
+            b.iter(|| {
+                buf.reset(m, WIDTH);
+                let mut admitted = 0usize;
+                for round in stream.chunks(WIDTH) {
+                    buf.set_candidates(round.iter().copied());
+                    admitted += buf.update_topm();
+                }
+                admitted
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Fresh per-query allocation vs recycled per-thread scratch, on the
 /// identical single-CTA search (same graph, same queries, identical
 /// results). The gap is exactly the allocation + first-touch cost the
@@ -328,6 +360,7 @@ criterion_group!(
     bench_topk,
     bench_hash,
     bench_bitonic,
+    bench_update_topm,
     bench_scratch_reuse,
     bench_build,
     bench_relabel,

@@ -46,6 +46,7 @@ use distance::Metric;
 pub use epoch::EpochPtr;
 use knn::parallel::{default_threads, parallel_map};
 use knn::topk::{cmp_neighbor, Neighbor};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -450,17 +451,19 @@ impl DynamicIndex {
             params.itopk = params.itopk.max(k_main);
             // Shape is valid by construction (k_main <= n, <= itopk),
             // so the validation-free entry point is safe here.
-            let mut scratch = SearchScratch::new();
-            scratch.set_record_trace(false);
-            main.index.search_mode_with(query, k_main, &params, Mode::SingleCta, &mut scratch);
-            from_main = scratch
-                .results()
-                .iter()
-                .filter_map(|nb| {
-                    let ext = *main.ids.get(nb.id as usize)?;
-                    (!masked.contains(&ext)).then_some(Neighbor::new(ext, nb.dist))
-                })
-                .collect();
+            // The borrow cannot be re-entered: nothing below calls back
+            // into a `DynamicIndex`.
+            from_main = MAIN_SCRATCH.with_borrow_mut(|scratch| {
+                main.index.search_mode_with(query, k_main, &params, Mode::SingleCta, scratch);
+                scratch
+                    .results()
+                    .iter()
+                    .filter_map(|nb| {
+                        let ext = *main.ids.get(nb.id as usize)?;
+                        (!masked.contains(&ext)).then_some(Neighbor::new(ext, nb.dist))
+                    })
+                    .collect()
+            });
         }
         let from_delta =
             snap.delta.search(query, k, self.shared.metric, masked, self.shared.params.delta_cfg());
@@ -509,6 +512,16 @@ impl Drop for DynamicIndex {
             let _ = h.join();
         }
     }
+}
+
+thread_local! {
+    /// This thread's main-segment search scratch, reused across
+    /// queries so a search does not rebuild its visited table.
+    static MAIN_SCRATCH: RefCell<SearchScratch> = RefCell::new({
+        let mut scratch = SearchScratch::new();
+        scratch.set_record_trace(false);
+        scratch
+    });
 }
 
 fn compactor_loop(shared: &Shared) {

@@ -2,14 +2,17 @@
 //! the top-M update (step 1, Sec. IV-B2).
 //!
 //! Entries are `(distance, packed index)` pairs; the packed index
-//! carries the parent flag in its MSB (see [`super::parent`]). The
-//! candidate segment is sorted with a **bitonic network** — the same
-//! network the GPU kernel runs in registers — and merged with the
-//! already-sorted top-M list. Dummy entries carry `FLT_MAX` distance
-//! and the `INVALID` index, so they sort last, exactly as the paper
-//! initializes the list.
+//! carries the parent flag in its MSB (see [`super::parent`]). The GPU
+//! kernel sorts the whole candidate segment with a **bitonic network**
+//! in registers and merges it with the already-sorted top-M list;
+//! [`bitonic_sort`] is that network, kept as the GPU model and the
+//! reference the tests check the CPU update against. The CPU update
+//! ([`SearchBuffer::update_topm`]) produces the identical list while
+//! touching only the candidates that can enter it. Dummy entries carry
+//! `FLT_MAX` distance and the `INVALID` index, so they sort last,
+//! exactly as the paper initializes the list.
 
-use super::parent::{node_id, INVALID};
+use super::parent::{is_parented, node_id, set_parented, INVALID};
 
 /// One buffer slot: distance plus flagged node index.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,8 +57,10 @@ fn less(a: &BufEntry, b: &BufEntry) -> bool {
 ///
 /// This mirrors the warp-level register sort of the CUDA kernel (used
 /// when the candidate buffer is <= 512 entries); for larger buffers
-/// the GPU switches to a radix sort, which is functionally identical,
-/// so the host implementation keeps one code path.
+/// the GPU switches to a radix sort, which is functionally identical.
+/// The search itself does not call it (see
+/// [`SearchBuffer::update_topm`]); it is the GPU-faithful reference for
+/// tests and the micro-benchmark.
 pub fn bitonic_sort(entries: &mut [BufEntry]) {
     let n = entries.len();
     if n <= 1 {
@@ -94,6 +99,57 @@ pub fn bitonic_sort(entries: &mut [BufEntry]) {
     entries.copy_from_slice(&buf[..n]);
 }
 
+/// Stable in-place insertion sort: each entry goes after every
+/// earlier entry that is not greater. Sized for the handful of
+/// candidates that survive [`SearchBuffer::update_topm`]'s filter.
+fn insertion_sort(entries: &mut [BufEntry]) {
+    for end in 2..=entries.len() {
+        let Some(run) = entries.get_mut(..end) else { break };
+        let Some((&last, sorted)) = run.split_last() else { continue };
+        let pos = sorted.partition_point(|e| !less(&last, e));
+        if let Some(tail) = run.get_mut(pos..) {
+            tail.rotate_right(1);
+        }
+    }
+}
+
+/// Merge the sorted `survivors` (each `less` than the last entry of
+/// `topm`) into the sorted `topm` in place, keeping its length: the
+/// largest survivor is placed first, and each block of `topm` entries
+/// above it shifts once, straight to its final slot; whatever shifts
+/// past the end is discarded. On equal keys a survivor goes below the
+/// `topm` entry, as in a forward merge that takes the list first.
+/// Returns how many survivors were kept and the lowest position that
+/// changed (`topm.len()` when `survivors` is empty).
+fn merge_backward(topm: &mut [BufEntry], survivors: &[BufEntry]) -> (usize, usize) {
+    let m = topm.len();
+    let mut admitted = 0usize;
+    let mut lowest = m;
+    // `topm[..hi]` still holds unplaced entries at their old positions.
+    let mut hi = m;
+    for (below, c) in survivors.iter().enumerate().rev() {
+        let Some(head) = topm.get(..hi) else { break };
+        let pos = head.partition_point(|t| !less(c, t));
+        // `topm[pos..hi]` are the entries greater than `c`: `c` and the
+        // `below` smaller survivors precede them, so each moves up by
+        // `below + 1`.
+        let shift = below + 1;
+        if let Some(tail) = topm.get_mut(pos..) {
+            let len = (hi - pos).min(tail.len().saturating_sub(shift));
+            if len > 0 {
+                tail.copy_within(..len, shift);
+            }
+        }
+        if let Some(slot) = topm.get_mut(pos + below) {
+            *slot = *c;
+            admitted += 1;
+            lowest = pos + below;
+        }
+        hi = pos;
+    }
+    (admitted, lowest)
+}
+
 /// The contiguous search buffer (Fig. 6 top).
 #[derive(Clone, Debug)]
 pub struct SearchBuffer {
@@ -101,8 +157,11 @@ pub struct SearchBuffer {
     topm: Vec<BufEntry>,
     /// Candidate list (`p * d` slots).
     candidates: Vec<BufEntry>,
-    m: usize,
-    scratch: Vec<BufEntry>,
+    /// Parent-pick scan start: no entry above this position can be
+    /// selected (each is a parent, a dummy, or a placeholder), and
+    /// [`SearchBuffer::update_topm`] lowers it to the first position
+    /// it changed.
+    cursor: usize,
 }
 
 impl SearchBuffer {
@@ -115,8 +174,7 @@ impl SearchBuffer {
         SearchBuffer {
             topm: vec![BufEntry::DUMMY; m],
             candidates: Vec::with_capacity(width),
-            m,
-            scratch: Vec::with_capacity(m + width),
+            cursor: 0,
         }
     }
 
@@ -128,23 +186,16 @@ impl SearchBuffer {
     pub fn reset(&mut self, m: usize, width: usize) {
         // ALLOW(panic): same precondition as `new`.
         assert!(m > 0 && width > 0, "buffer sizes must be positive");
-        self.m = m;
         self.topm.clear();
         self.topm.resize(m, BufEntry::DUMMY);
         self.candidates.clear();
         self.candidates.reserve(width);
-        self.scratch.clear();
-        self.scratch.reserve(m + width);
+        self.cursor = 0;
     }
 
     /// The sorted top-M list.
     pub fn topm(&self) -> &[BufEntry] {
         &self.topm
-    }
-
-    /// Mutable access (parent marking).
-    pub fn topm_mut(&mut self) -> &mut [BufEntry] {
-        &mut self.topm
     }
 
     /// Clear and refill the candidate segment.
@@ -171,52 +222,67 @@ impl SearchBuffer {
     }
 
     /// Mutable candidate segment. The expansion loop pushes every
-    /// neighbor with a placeholder distance in adjacency order (the
-    /// order feeds the bitonic sort's tie-breaking), then patches the
-    /// first-visit entries from one batched distance call.
+    /// neighbor with a placeholder distance in adjacency order, then
+    /// patches the first-visit entries from one batched distance call.
     #[inline]
     pub fn candidates_mut(&mut self) -> &mut [BufEntry] {
         &mut self.candidates
     }
 
-    /// Step 1: sort the candidate list and merge it into the top-M
-    /// list, keeping the M smallest. Returns the number of candidates
-    /// that entered the list (a progress signal).
+    /// Step 1: merge the candidate list into the top-M list, keeping
+    /// the M smallest, and clear the candidates. Returns the number of
+    /// candidates that entered the list (a progress signal).
+    ///
+    /// The result is exactly that of [`bitonic_sort`] over all
+    /// candidates followed by a forward merge that, on equal keys,
+    /// keeps the top-M entry first — the GPU kernel's step. The CPU
+    /// does work proportional to the candidates that can enter
+    /// instead: a candidate not `less` than the current worst entry
+    /// would land at position M or later, so it is dropped unsorted;
+    /// the few survivors are insertion-sorted in place and merged
+    /// backwards into the list in place, largest first. Candidates
+    /// with equal keys must be interchangeable (fresh, unflagged
+    /// entries are), since the two sorts may order them differently.
     pub fn update_topm(&mut self) -> usize {
-        bitonic_sort(&mut self.candidates);
-        self.scratch.clear();
-        let mut ti = 0usize;
-        let mut ci = 0usize;
-        let mut admitted = 0usize;
-        while self.scratch.len() < self.m {
-            // Matching on the fetched entries (instead of re-indexing
-            // after a take/skip decision) keeps the merge panic-free.
-            match (self.topm.get(ti), self.candidates.get(ci)) {
-                (Some(&t), Some(&c)) if less(&c, &t) => {
-                    self.scratch.push(c);
-                    ci += 1;
-                    admitted += 1;
-                }
-                (_, Some(&c)) if ti >= self.topm.len() => {
-                    self.scratch.push(c);
-                    ci += 1;
-                    admitted += 1;
-                }
-                (Some(&t), _) => {
-                    self.scratch.push(t);
-                    ti += 1;
-                }
-                _ => break,
+        let Some(&worst) = self.topm.last() else {
+            self.candidates.clear();
+            return 0;
+        };
+        self.candidates.retain(|c| less(c, &worst));
+        insertion_sort(&mut self.candidates);
+        let (admitted, lowest) = merge_backward(&mut self.topm, &self.candidates);
+        self.cursor = self.cursor.min(lowest);
+        self.candidates.clear();
+        admitted
+    }
+
+    /// Step 2: mark up to `count` of the best selectable entries as
+    /// parents, appending their ids to `out`; returns how many were
+    /// picked. An entry is selectable when it is not yet a parent (the
+    /// flag is set on dummies too) and carries a computed distance:
+    /// `MAX`-dist entries are hash-suppressed placeholders whose vector
+    /// was never loaded, and expanding one would make the traversal
+    /// depend on id order rather than geometry.
+    ///
+    /// The scan resumes at the cursor instead of the list head: every
+    /// entry above it was unselectable at the last pick and has not
+    /// moved since, so the picks equal a full scan's.
+    pub fn pick_parents(&mut self, count: usize, out: &mut Vec<u32>) -> usize {
+        let mut picked = 0usize;
+        let mut stop = self.topm.len();
+        for (pos, entry) in self.topm.iter_mut().enumerate().skip(self.cursor) {
+            if picked == count {
+                stop = pos;
+                break;
+            }
+            if !is_parented(entry.packed) && entry.dist < f32::MAX {
+                out.push(node_id(entry.packed));
+                entry.packed = set_parented(entry.packed);
+                picked += 1;
             }
         }
-        while self.scratch.len() < self.m {
-            self.scratch.push(BufEntry::DUMMY);
-        }
-        std::mem::swap(&mut self.topm, &mut self.scratch);
-        self.candidates.clear();
-        // Dummies admitted from an undersized candidate list are not
-        // progress.
-        admitted
+        self.cursor = stop;
+        picked
     }
 
     /// Ids of the real (non-dummy) top-M entries, flags stripped.
@@ -302,10 +368,45 @@ mod tests {
         let mut b = SearchBuffer::new(2, 2);
         b.set_candidates([e(0, 1.0), e(1, 2.0)]);
         b.update_topm();
-        b.topm_mut()[0].packed = set_parented(b.topm()[0].packed);
+        let mut picked = Vec::new();
+        assert_eq!(b.pick_parents(1, &mut picked), 1);
+        assert_eq!(picked, vec![0]);
         b.set_candidates([e(2, 3.0)]);
         b.update_topm();
         assert!(super::super::parent::is_parented(b.topm()[0].packed));
+    }
+
+    #[test]
+    fn pick_parents_skips_placeholders_and_resumes_below_changes() {
+        let mut b = SearchBuffer::new(4, 4);
+        b.set_candidates([e(0, 1.0), BufEntry { dist: f32::MAX, packed: 1 }, e(2, 3.0)]);
+        b.update_topm();
+        let mut picked = Vec::new();
+        assert_eq!(b.pick_parents(2, &mut picked), 2);
+        assert_eq!(picked, vec![0, 2], "the MAX placeholder is never a parent");
+        picked.clear();
+        assert_eq!(b.pick_parents(2, &mut picked), 0, "nothing selectable is left");
+        // A new entry above the cursor must be found again.
+        b.set_candidates([e(3, 0.5)]);
+        assert_eq!(b.update_topm(), 1);
+        assert_eq!(b.pick_parents(2, &mut picked), 1);
+        assert_eq!(picked, vec![3]);
+    }
+
+    #[test]
+    fn update_topm_breaks_ties_list_first_and_counts_kept_survivors() {
+        let mut b = SearchBuffer::new(3, 4);
+        b.set_candidates([e(5, 1.0), e(7, 2.0), e(9, 3.0)]);
+        b.update_topm();
+        // Equal keys: the list entry stays above the candidate. All
+        // three candidates beat the worst entry, but only two fit.
+        let flagged = BufEntry { dist: 1.0, packed: set_parented(5) };
+        let mut picked = Vec::new();
+        b.pick_parents(1, &mut picked);
+        assert_eq!(b.topm()[0], flagged);
+        b.set_candidates([e(5, 1.0), e(6, 1.5), e(8, 2.0)]);
+        assert_eq!(b.update_topm(), 2);
+        assert_eq!(b.topm(), &[flagged, e(5, 1.0), e(6, 1.5)]);
     }
 
     #[test]

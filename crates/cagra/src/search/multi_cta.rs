@@ -12,7 +12,7 @@
 
 use super::buffer::BufEntry;
 use super::hash::VisitedSet;
-use super::parent::{is_parented, node_id, set_parented, INVALID};
+use super::parent::{node_id, INVALID};
 use super::scratch::SearchScratch;
 use super::trace::{IterAccess, IterationTrace, SearchTrace};
 use crate::params::SearchParams;
@@ -116,6 +116,7 @@ pub fn search_multi_cta_mapped<S: VectorStore + ?Sized>(
         visited,
         buffers,
         active,
+        parents,
         results,
         trace,
         record_trace,
@@ -182,19 +183,10 @@ pub fn search_multi_cta_mapped<S: VectorStore + ?Sized>(
                 continue;
             }
             buf.update_topm();
-            // p = 1: expand the single best unparented entry. MAX-dist
-            // entries are hash-suppressed placeholders whose vector
-            // was never loaded; expanding one would make the traversal
-            // depend on id order rather than geometry.
-            let mut parent = None;
-            for entry in buf.topm_mut() {
-                if entry.packed != INVALID && !is_parented(entry.packed) && entry.dist < f32::MAX {
-                    parent = Some(node_id(entry.packed));
-                    entry.packed = set_parented(entry.packed);
-                    break;
-                }
-            }
-            let Some(p) = parent else {
+            // p = 1: expand the single best unparented entry.
+            parents.clear();
+            buf.pick_parents(1, parents);
+            let Some(&p) = parents.first() else {
                 *act = false;
                 continue;
             };

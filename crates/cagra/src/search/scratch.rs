@@ -38,7 +38,8 @@ pub struct SearchScratch {
     pub(crate) buffers: Vec<SearchBuffer>,
     /// Multi-CTA per-worker liveness flags.
     pub(crate) active: Vec<bool>,
-    /// Single-CTA parent list (up to `search_width` ids).
+    /// Parents picked this iteration (up to `search_width` ids; one per
+    /// multi-CTA worker turn).
     pub(crate) parents: Vec<u32>,
     /// Staging buffer for batch queries gathered out of a store.
     pub(crate) query: Vec<f32>,

@@ -8,7 +8,7 @@
 
 use super::buffer::BufEntry;
 use super::hash::VisitedSet;
-use super::parent::{is_parented, node_id, set_parented};
+use super::parent::node_id;
 use super::scratch::SearchScratch;
 use super::trace::{IterAccess, IterationTrace, SearchTrace};
 use crate::params::{HashPolicy, SearchParams};
@@ -173,21 +173,7 @@ pub fn search_single_cta_mapped<S: VectorStore + ?Sized>(
 
         // Step 2: pick up to p nodes that have not been parents.
         parents.clear();
-        for entry in buffer.topm_mut() {
-            if parents.len() == params.search_width {
-                break;
-            }
-            // MAX-dist entries are hash-suppressed placeholders whose
-            // vector was never loaded; expanding one would make the
-            // traversal depend on id order rather than geometry.
-            if entry.packed != super::parent::INVALID
-                && !is_parented(entry.packed)
-                && entry.dist < f32::MAX
-            {
-                parents.push(node_id(entry.packed));
-                entry.packed = set_parented(entry.packed);
-            }
-        }
+        buffer.pick_parents(params.search_width, parents);
         if parents.is_empty() || it >= max_iters {
             break;
         }

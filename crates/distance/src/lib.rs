@@ -146,13 +146,21 @@ enum Rows<'a> {
     Opaque,
 }
 
+/// Borrow a scratch row, sized to `dim` on first use.
+fn scratch_row(cell: &std::cell::RefCell<Vec<f32>>, dim: usize) -> std::cell::RefMut<'_, Vec<f32>> {
+    let mut row = cell.borrow_mut();
+    row.resize(dim, 0.0);
+    row
+}
+
 /// Query-to-dataset distance evaluator over any [`VectorStore`].
 ///
 /// Captures the active [`Kernels`] table at construction, owns two
 /// scratch rows (so even row-to-row distances on widening stores
-/// allocate nothing per call), and counts every distance computed (the
-/// paper's pruning analyses count these; `gpu-sim` also uses it for
-/// cost). Construct one per worker thread (it is `!Sync` by design —
+/// allocate nothing per call; they are sized on first use, so an
+/// oracle over flat f32 rows never allocates), and counts every
+/// distance computed (the paper's pruning analyses count these;
+/// `gpu-sim` also uses it for cost). Construct one per worker thread (it is `!Sync` by design —
 /// the scratch is interior state).
 pub struct DistanceOracle<'a, S: VectorStore + ?Sized> {
     store: &'a S,
@@ -192,8 +200,8 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             rows,
             kern,
             dim: store.dim(),
-            scratch: std::cell::RefCell::new(vec![0.0; store.dim()]),
-            scratch2: std::cell::RefCell::new(vec![0.0; store.dim()]),
+            scratch: std::cell::RefCell::new(Vec::new()),
+            scratch2: std::cell::RefCell::new(Vec::new()),
             count: std::cell::Cell::new(0),
         }
     }
@@ -311,7 +319,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             }
             Rows::Opaque => {
                 for (o, &id) in out.iter_mut().zip(ids) {
-                    let mut s = self.scratch.borrow_mut();
+                    let mut s = scratch_row(&self.scratch, self.dim);
                     self.store.get_into(id as usize, &mut s);
                     *o = self.f32_pair_distance(q, pq.norm, &s);
                 }
@@ -381,7 +389,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
                 t.score(&view.codes[i * m..(i + 1) * m], qnorm)
             }
             Rows::Opaque => {
-                let mut s = self.scratch.borrow_mut();
+                let mut s = scratch_row(&self.scratch, self.dim);
                 self.store.get_into(i, &mut s);
                 self.f32_pair_distance(q, qnorm, &s)
             }
@@ -415,7 +423,7 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
                 self.row_distance(a, qnorm, None, j)
             }
             Rows::F16(..) | Rows::I8(..) => {
-                let mut a = self.scratch.borrow_mut();
+                let mut a = scratch_row(&self.scratch, self.dim);
                 self.store.get_into(i, &mut a);
                 let qnorm = self.hoist_norm(&a);
                 self.row_distance(&a, qnorm, None, j)
@@ -424,8 +432,8 @@ impl<'a, S: VectorStore + ?Sized> DistanceOracle<'a, S> {
             // (graph build); per-row ADC tables would cost more than
             // they save when the "query" changes every call.
             Rows::Pq(..) | Rows::Opaque => {
-                let mut a = self.scratch.borrow_mut();
-                let mut b = self.scratch2.borrow_mut();
+                let mut a = scratch_row(&self.scratch, self.dim);
+                let mut b = scratch_row(&self.scratch2, self.dim);
                 self.store.get_into(i, &mut a);
                 self.store.get_into(j, &mut b);
                 let qnorm = self.hoist_norm(&a);
